@@ -9,11 +9,6 @@ use std::fmt;
 /// domain `7` (the kernel), whose identifier doubles as the "free" owner in
 /// the memory map (Table 1 of the paper: `1111` = free or trusted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(into = "u8", try_from = "u8")
-)]
 pub struct DomainId(u8);
 
 impl TryFrom<u8> for DomainId {

@@ -8,7 +8,6 @@ use std::fmt;
 /// [`fault_code`] gives each a stable numeric code for transport through the
 /// simulator's compact environment-fault channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProtectionFault {
     /// A store into memory-map-protected space hit a block the active domain
     /// does not own.

@@ -10,7 +10,6 @@ use crate::fault::ProtectionFault;
 
 /// Geometry of the co-located per-domain jump tables in flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JumpTableLayout {
     base: u16,
     entries_per_domain: u16,

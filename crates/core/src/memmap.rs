@@ -8,11 +8,6 @@ use std::fmt;
 /// A power-of-two protection block size in bytes (`2..=256`; the paper's
 /// running example and the kernel default is 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(into = "u16", try_from = "u16")
-)]
 pub struct BlockSize(u8); // stored as log2
 
 impl TryFrom<u16> for BlockSize {
@@ -72,7 +67,6 @@ impl fmt::Display for BlockSize {
 
 /// How many domains the map distinguishes, which sets the record width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DomainMode {
     /// Kernel/user protection: 2-bit records (owner bit + start bit). The
     /// only user domain is domain 0.
@@ -102,7 +96,6 @@ impl DomainMode {
 /// The paper's Table 1 encoding: `owner << 1 | start`, with owner 7 meaning
 /// trusted-or-free (`1111` = free / start of trusted segment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Record {
     /// Owning domain ([`DomainId::TRUSTED`] also means "free").
     pub owner: DomainId,
@@ -143,7 +136,6 @@ impl Record {
 /// Result of translating a write address to its memory-map record location
 /// (Figure 4b of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MapLookup {
     /// Block number within the protected range.
     pub block: u16,
@@ -157,11 +149,6 @@ pub struct MapLookup {
 ///
 /// Mirrors the paper's configuration registers: `mem_prot_bot`,
 /// `mem_prot_top` and `mem_map_config` (block size + domain count).
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "RawMemMapConfig", into = "RawMemMapConfig")
-)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemMapConfig {
     block_size: BlockSize,
@@ -273,67 +260,6 @@ impl MemMapConfig {
     }
 }
 
-/// Serde-facing mirror of [`MemMapConfig`] (validates on deserialize).
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RawMemMapConfig {
-    mode: DomainMode,
-    block_size: BlockSize,
-    prot_bottom: u16,
-    prot_top: u16,
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<RawMemMapConfig> for MemMapConfig {
-    type Error = ProtectionFault;
-
-    fn try_from(r: RawMemMapConfig) -> Result<MemMapConfig, ProtectionFault> {
-        MemMapConfig::new(r.mode, r.block_size, r.prot_bottom, r.prot_top)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl From<MemMapConfig> for RawMemMapConfig {
-    fn from(c: MemMapConfig) -> RawMemMapConfig {
-        RawMemMapConfig {
-            mode: c.mode,
-            block_size: c.block_size,
-            prot_bottom: c.prot_bottom,
-            prot_top: c.prot_top,
-        }
-    }
-}
-
-/// Serde-facing mirror of [`MemoryMap`] (validates the table length).
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RawMemoryMap {
-    cfg: MemMapConfig,
-    bytes: Vec<u8>,
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<RawMemoryMap> for MemoryMap {
-    type Error = ProtectionFault;
-
-    fn try_from(r: RawMemoryMap) -> Result<MemoryMap, ProtectionFault> {
-        if r.bytes.len() != r.cfg.map_size_bytes() as usize {
-            return Err(ProtectionFault::BadSegment {
-                addr: r.cfg.prot_bottom(),
-                len: r.bytes.len() as u16,
-            });
-        }
-        Ok(MemoryMap { cfg: r.cfg, bytes: r.bytes })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl From<MemoryMap> for RawMemoryMap {
-    fn from(m: MemoryMap) -> RawMemoryMap {
-        RawMemoryMap { cfg: m.cfg, bytes: m.bytes }
-    }
-}
-
 /// The memory map itself: the packed record table plus its geometry.
 ///
 /// The kernel keeps this table in trusted RAM; the MMC hardware (or the SFI
@@ -357,11 +283,6 @@ impl From<MemoryMap> for RawMemoryMap {
 /// # Ok(())
 /// # }
 /// ```
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "RawMemoryMap", into = "RawMemoryMap")
-)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryMap {
     cfg: MemMapConfig,

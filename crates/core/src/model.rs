@@ -17,7 +17,6 @@ use crate::tracker::DomainTracker;
 ///              guarded by the stack bound
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryLayout {
     /// First SRAM address (kernel globals start here).
     pub sram_base: u16,
@@ -31,7 +30,6 @@ pub struct MemoryLayout {
 
 /// Coarse classification of a data address under a [`MemoryLayout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RegionClass {
     /// The memory-mapped register file (`0x00..=0x1f`).
     Registers,

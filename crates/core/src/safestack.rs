@@ -19,7 +19,6 @@ pub const CROSS_DOMAIN_FRAME_BYTES: u16 = 5;
 
 /// One entry on the safe stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SafeStackEntry {
     /// A local-call return address (word address).
     RetAddr(u16),

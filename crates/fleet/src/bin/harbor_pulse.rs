@@ -27,7 +27,10 @@
 //! exactly against radio deliveries; (4) pulse is free when disabled and
 //! invisible when enabled — serial, parallel, pulse-on and pulse-off runs
 //! of one seed produce byte-identical fleet telemetry, and serial and
-//! parallel ledgers match byte for byte. Exits non-zero on any violation.
+//! parallel ledgers match byte for byte; (5) post-quiescence, the node-steps
+//! workers actually executed equal the ledger's busy count every round,
+//! and are zero on rounds with nothing delivered. Exits non-zero on any
+//! violation.
 
 mod cli;
 
@@ -77,6 +80,8 @@ struct Quiesced {
     window_start: u64,
     /// `radio delivered` totals at the window's start and end.
     delivered: (u64, u64),
+    /// Packets delivered in each window round.
+    delivered_per_round: Vec<u64>,
 }
 
 /// The headline scenario: disseminate Tree Routing over a 10%-lossy radio,
@@ -100,9 +105,20 @@ fn quiesce_scenario(nodes: usize, threads: usize, pulse: bool) -> Quiesced {
     assert_eq!(fleet.radio_stats().3, 0, "channel did not drain");
     let delivered_start = fleet.radio_stats().1;
     let window_start = fleet.round();
-    fleet.run_rounds(WINDOW);
+    let mut delivered_per_round = Vec::with_capacity(WINDOW as usize);
+    for _ in 0..WINDOW {
+        let before = fleet.radio_stats().1;
+        fleet.step_round();
+        delivered_per_round.push(fleet.radio_stats().1 - before);
+    }
     let delivered_end = fleet.radio_stats().1;
-    Quiesced { fleet, converged_at, window_start, delivered: (delivered_start, delivered_end) }
+    Quiesced {
+        fleet,
+        converged_at,
+        window_start,
+        delivered: (delivered_start, delivered_end),
+        delivered_per_round,
+    }
 }
 
 /// The retained records of the post-quiescence window.
@@ -285,6 +301,19 @@ fn run_checks() -> ExitCode {
     }
     if delivered == 0 {
         fail("window saw no re-advert deliveries; the idle gate proved nothing".to_string());
+    }
+    // Executed-step gate: the busy set steps exactly the nodes with
+    // pending work — every node-step a worker executed in the window is a
+    // busy one, and a round with nothing delivered executes none. An idle
+    // node stepped by mistake fails here, not only in a benchmark.
+    for (r, &arrived) in records.iter().zip(&q.delivered_per_round) {
+        let executed: u64 = r.workers.iter().map(|w| w.nodes).sum();
+        if executed != r.ledger.busy || (arrived == 0 && executed != 0) {
+            fail(format!(
+                "round {}: {executed} node-steps executed, {} busy, {arrived} delivered",
+                r.round, r.ledger.busy
+            ));
+        }
     }
 
     // ── (4) identity: pulse is invisible on and free off ──

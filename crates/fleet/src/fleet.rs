@@ -1,22 +1,30 @@
 //! Round-based parallel stepping of a whole fleet of nodes.
 //!
-//! Each round has three phases:
+//! Each round has four phases:
 //!
 //! 1. **deliver** (serial): packets due this round move from the radio to
 //!    node inboxes and the seeder; the seeder answers retransmission
 //!    requests and re-advertises. All radio RNG draws happen here, in a
 //!    fixed order.
-//! 2. **step** (parallel): every node consumes its inbox and runs its CPU.
-//!    Nodes touch only their own state, so the phase is embarrassingly
-//!    parallel — worker threads grab batches of nodes from a shared cursor
-//!    (dynamic work stealing), and a `threads = 1` run visits the same
-//!    nodes in the same per-node order.
-//! 3. **collect** (serial): node outboxes drain onto the radio in node-id
-//!    order.
+//! 2. **step** (parallel): every *busy* node consumes its inbox and runs
+//!    its CPU. A node is busy when something woke it since its last step:
+//!    a delivery, a host call that handed it out or changed it, or its own
+//!    previous step leaving work pending (or a watchdog to feed). Every
+//!    other node is idle, and stepping an idle node changes nothing, so it
+//!    is skipped. Nodes touch only their own state, so the phase is
+//!    embarrassingly parallel — worker threads claim disjoint batches of
+//!    busy nodes from a shared queue (dynamic work stealing), and a
+//!    one-worker round visits the same nodes in the same per-node order.
+//! 3. **collect** (serial): the stepped nodes' outboxes drain onto the
+//!    radio in node-id order, and nodes with work left are woken for the
+//!    next round.
+//! 4. **feed** (serial): every node's counter deltas stream into the
+//!    tower, when one is attached.
 //!
 //! Because every RNG is owned (radio, per-node) and consumed in a
 //! schedule-independent order, serial and parallel runs of one seed produce
-//! byte-identical telemetry.
+//! byte-identical telemetry — and so do runs that step every node every
+//! round (`tests/fleet_busy_set.rs`).
 
 use crate::image::ModuleImage;
 use crate::net::{Envelope, NetConfig, Packet, Radio, BROADCAST, SEEDER};
@@ -32,11 +40,10 @@ use harbor_tower::{FleetRollup, Tower, TowerConfig};
 use mini_sos::loader::{LoadError, ModuleSource};
 use mini_sos::{Protection, SosLayout, SosSystem};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Nodes a worker claims per grab of the shared cursor.
+/// Busy nodes a worker claims per grab of the shared queue.
 const BATCH: usize = 4;
 
 /// Rounds between seeder re-adverts.
@@ -235,7 +242,11 @@ pub struct Fleet {
     cfg: FleetConfig,
     threads: usize,
     layout: SosLayout,
-    nodes: Vec<Mutex<Node>>,
+    nodes: Vec<Node>,
+    wake: WakeSet,
+    installs: Installs,
+    // Pulse only: per-node guest cycle counts as of each node's last step.
+    cycles: Option<CycleCache>,
     radio: Radio,
     seeder: Option<Seeder>,
     // Causal identity (clock, log, sequence counter) of a seeder retired
@@ -250,6 +261,235 @@ pub struct Fleet {
     pulse: Option<Pulse>,
     next_image_id: u16,
     round: u64,
+}
+
+/// The busy set: ids of the nodes the next step phase runs, with one flag
+/// per node so each id is listed once. It lives outside [`Node`], so
+/// building it never touches cold node memory.
+#[derive(Debug)]
+struct WakeSet {
+    flag: Vec<bool>,
+    ids: Vec<usize>,
+}
+
+impl WakeSet {
+    /// Every node starts woken: the first round steps the whole fleet.
+    fn all(nodes: usize) -> WakeSet {
+        WakeSet { flag: vec![true; nodes], ids: (0..nodes).collect() }
+    }
+
+    fn wake(&mut self, i: usize) {
+        if !self.flag[i] {
+            self.flag[i] = true;
+            self.ids.push(i);
+        }
+    }
+
+    fn wake_all(&mut self) {
+        for i in 0..self.flag.len() {
+            self.wake(i);
+        }
+    }
+
+    /// Takes the set in node-id order and clears it.
+    fn take(&mut self) -> Vec<usize> {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.sort_unstable();
+        for &i in &ids {
+            self.flag[i] = false;
+        }
+        ids
+    }
+}
+
+/// Which nodes hold the seeder's current image, and how many do not — so
+/// [`Fleet::converged`] is a counter read, not a fleet scan.
+#[derive(Debug)]
+struct Installs {
+    has: Vec<bool>,
+    missing: usize,
+}
+
+impl Installs {
+    fn note(&mut self, i: usize, installed: bool) {
+        if self.has[i] != installed {
+            self.has[i] = installed;
+            if installed {
+                self.missing -= 1;
+            } else {
+                self.missing += 1;
+            }
+        }
+    }
+}
+
+/// Every node's `sys.cycles()` as of its last step, with the fleet-wide
+/// sum and max. A node's cycle count only moves when it steps (or when a
+/// host call wakes it), so updating the stepped nodes keeps both exact.
+#[derive(Debug)]
+struct CycleCache {
+    per_node: Vec<u64>,
+    total: u64,
+    frontier: u64,
+}
+
+impl CycleCache {
+    fn new(nodes: &[Node]) -> CycleCache {
+        let per_node: Vec<u64> = nodes.iter().map(|n| n.sys.cycles()).collect();
+        let total = per_node.iter().sum();
+        let frontier = per_node.iter().copied().max().unwrap_or(0);
+        CycleCache { per_node, total, frontier }
+    }
+
+    fn update(&mut self, i: usize, cycles: u64) {
+        let old = std::mem::replace(&mut self.per_node[i], cycles);
+        self.total = self.total - old + cycles;
+        if cycles >= self.frontier {
+            self.frontier = cycles;
+        } else if old == self.frontier {
+            // A rollback rewound the frontier node's counters.
+            self.frontier = self.per_node.iter().copied().max().unwrap_or(0);
+        }
+    }
+}
+
+/// Per-worker instrumentation of the step loop. `()` is the no-op probe:
+/// every hook is empty, so a pulse-off fleet runs the plain loop.
+trait StepProbe: Send {
+    /// A worker claimed a batch and is about to step it.
+    fn claim(&mut self) {}
+    /// `node` is about to step.
+    fn visit(&mut self, _node: &Node) {}
+    /// The claimed batch of `nodes` nodes finished.
+    fn release(&mut self, _nodes: usize) {}
+    /// The worker found the queue empty and is exiting.
+    fn finish(&mut self) {}
+}
+
+impl StepProbe for () {}
+
+/// Pulse's probe: classifies each stepped node's pending work before the
+/// step and times each batch with one clock-read pair — the coarsest grain
+/// that still answers the question, which keeps the measured overhead
+/// within the ≤3% budget `BENCH_pulse.json` tracks. Every time is
+/// measured from the shared step-phase anchor, so
+/// `busy <= span <= finish <= step lap` holds by construction.
+struct PulseProbe {
+    anchor: Instant,
+    stat: WorkerStat,
+    ledger: RoundLedger,
+    claimed_ns: u64,
+    first_claim: Option<u64>,
+    last_done: u64,
+}
+
+impl PulseProbe {
+    fn new(anchor: Instant) -> PulseProbe {
+        PulseProbe {
+            anchor,
+            stat: WorkerStat::default(),
+            ledger: RoundLedger::default(),
+            claimed_ns: 0,
+            first_claim: None,
+            last_done: 0,
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.anchor.elapsed().as_nanos() as u64
+    }
+}
+
+impl StepProbe for PulseProbe {
+    fn claim(&mut self) {
+        self.claimed_ns = self.now_ns();
+        self.first_claim.get_or_insert(self.claimed_ns);
+    }
+
+    fn visit(&mut self, node: &Node) {
+        self.ledger.observe(node.pending_work());
+    }
+
+    fn release(&mut self, nodes: usize) {
+        self.last_done = self.now_ns();
+        self.stat.busy_ns += self.last_done - self.claimed_ns;
+        self.stat.nodes += nodes as u64;
+    }
+
+    fn finish(&mut self) {
+        // Batch busy intervals are disjoint sub-intervals of
+        // [first_claim, last_done], so busy <= span; the exit stamp comes
+        // last, so span <= finish.
+        self.stat.span_ns = self.last_done - self.first_claim.unwrap_or(self.last_done);
+        self.stat.finish_ns = self.now_ns();
+    }
+}
+
+/// Disjoint `&mut` borrows of `nodes[i]` for every `i` in `ids`
+/// (ascending, distinct), in O(`ids.len()`).
+fn pick<'a>(mut nodes: &'a mut [Node], ids: &[usize]) -> Vec<&'a mut Node> {
+    let mut picked = Vec::with_capacity(ids.len());
+    let mut base = 0;
+    for &i in ids {
+        let (node, rest) =
+            std::mem::take(&mut nodes)[i - base..].split_first_mut().expect("busy id in range");
+        picked.push(node);
+        nodes = rest;
+        base = i + 1;
+    }
+    picked
+}
+
+/// What the collect phase needs from a node it stepped, read by the worker
+/// right after the step, while the node is still in cache.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stepped {
+    /// The outbox holds frames for the radio.
+    sends: bool,
+    /// Work is still pending, or a watchdog needs next round's sample.
+    again: bool,
+    /// The node holds the seeder's current image.
+    installed: bool,
+    /// `sys.cycles()` after the step, for pulse's cycle cache.
+    cycles: u64,
+}
+
+/// The one node-step loop. `workers` threads each take one `probe`, claim
+/// batches of `nodes` (with the matching slots of `out`) off a shared
+/// queue until it is empty, and hand the probe back; `step` steps one
+/// node and reads its [`Stepped`]. With one worker (or none) the loop runs
+/// inline, on the whole slice as one batch, and no thread is spawned.
+fn step_batches<P: StepProbe>(
+    nodes: &mut [&mut Node],
+    out: &mut [Stepped],
+    workers: usize,
+    probe: impl Fn() -> P + Sync,
+    step: impl Fn(&mut Node) -> Stepped + Sync,
+) -> Vec<P> {
+    let size = if workers > 1 { BATCH } else { nodes.len().max(1) };
+    let queue = Mutex::new(nodes.chunks_mut(size).zip(out.chunks_mut(size)));
+    let work = || {
+        let mut probe = probe();
+        loop {
+            let claimed = queue.lock().expect("batch queue").next();
+            let Some((batch, out)) = claimed else { break };
+            probe.claim();
+            for (node, out) in batch.iter_mut().zip(out) {
+                probe.visit(node);
+                *out = step(node);
+            }
+            probe.release(batch.len());
+        }
+        probe.finish();
+        probe
+    };
+    if workers <= 1 {
+        return vec![work()];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        handles.into_iter().map(|h| h.join().expect("step worker")).collect()
+    })
 }
 
 /// Marks a phase boundary on the chained lap clock: returns the
@@ -303,7 +543,7 @@ impl Fleet {
             proto.set_turbo(true);
         }
         let layout = proto.layout;
-        let nodes = (0..cfg.nodes)
+        let nodes: Vec<Node> = (0..cfg.nodes)
             .map(|i| {
                 let mut sys = proto.clone();
                 if let Some(spec) = cfg.scope {
@@ -321,7 +561,7 @@ impl Fleet {
                     node.recorder = Some(recorder);
                     node.watchdog = Some(Watchdog::new(i as u32, bb.watchdog));
                 }
-                Mutex::new(node)
+                node
             })
             .collect();
         let threads = match cfg.threads {
@@ -332,6 +572,9 @@ impl Fleet {
             cfg: *cfg,
             threads,
             layout,
+            wake: WakeSet::all(cfg.nodes),
+            installs: Installs { has: vec![false; cfg.nodes], missing: 0 },
+            cycles: cfg.pulse.then(|| CycleCache::new(&nodes)),
             nodes,
             radio: Radio::new(cfg.seed, cfg.nodes as u32, cfg.net),
             seeder: None,
@@ -414,6 +657,20 @@ impl Fleet {
             causal,
             seq,
         });
+        self.recount_installs();
+    }
+
+    /// Recounts which nodes hold the seeder's current image: a full scan,
+    /// run only when the image or the installs change fleet-wide
+    /// (seeding, rollback, commit).
+    fn recount_installs(&mut self) {
+        let id = self.seeder.as_ref().map(|s| s.image_id);
+        let mut missing = 0;
+        for (has, node) in self.installs.has.iter_mut().zip(&self.nodes) {
+            *has = id.is_some_and(|id| node.has_installed(id));
+            missing += usize::from(!*has);
+        }
+        self.installs.missing = if id.is_some() { missing } else { 0 };
     }
 
     /// Quiesces the base station, preserving its causal identity for the
@@ -436,11 +693,11 @@ impl Fleet {
     pub fn begin_rollout(&mut self, image: &ModuleImage, cohorts: &[u32]) -> u16 {
         let id = self.disseminate(image);
         self.rollouts.insert(id, image.clone());
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             let eligible = cohorts.contains(&node.cohort);
             node.arm_rollout(id, eligible);
         }
+        self.wake.wake_all();
         id
     }
 
@@ -453,12 +710,12 @@ impl Fleet {
     ///
     /// Panics if `id` is not a retained rollout image.
     pub fn extend_rollout(&mut self, id: u16, cohorts: &[u32]) {
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             if cohorts.contains(&node.cohort) {
                 node.arm_rollout(id, true);
             }
         }
+        self.wake.wake_all();
         match &mut self.seeder {
             Some(s) if s.image_id == id => s.announced = false,
             _ => {
@@ -477,9 +734,11 @@ impl Fleet {
         if self.seeder.as_ref().is_some_and(|s| s.image_id == id) {
             self.retire_seeder();
         }
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").rollback_rollout(id);
+        for node in &mut self.nodes {
+            node.rollback_rollout(id);
         }
+        self.wake.wake_all();
+        self.recount_installs();
         self.rollouts.remove(&id);
     }
 
@@ -490,9 +749,11 @@ impl Fleet {
         if self.seeder.as_ref().is_some_and(|s| s.image_id == id) {
             self.retire_seeder();
         }
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").commit_rollout(id);
+        for node in &mut self.nodes {
+            node.commit_rollout(id);
         }
+        self.wake.wake_all();
+        self.recount_installs();
         if let Some(prev) = self.known_good.replace(id) {
             if prev != id {
                 self.rollouts.remove(&prev);
@@ -518,8 +779,7 @@ impl Fleet {
     /// Whether every node has installed the image under dissemination
     /// (vacuously true with no seeder).
     pub fn converged(&self) -> bool {
-        let Some(seeder) = &self.seeder else { return true };
-        self.nodes.iter().all(|n| n.lock().expect("node lock").has_installed(seeder.image_id))
+        self.installs.missing == 0
     }
 
     /// Host-side message injection on one node (a local sensor event).
@@ -528,26 +788,34 @@ impl Fleet {
     ///
     /// Panics if `node` is out of range.
     pub fn post(&mut self, node: usize, dom: DomainId, msg: u8) {
-        self.nodes[node].get_mut().expect("node lock").post(dom, msg);
+        self.nodes[node].post(dom, msg);
+        self.wake.wake(node);
     }
 
     /// Host-side message injection on every node.
     pub fn post_all(&mut self, dom: DomainId, msg: u8) {
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").post(dom, msg);
+        for node in &mut self.nodes {
+            node.post(dom, msg);
         }
+        self.wake.wake_all();
     }
 
     /// Runs `f` against one node (host-side inspection or injection).
+    /// The node may have been changed, so it steps next round.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn with_node<R>(&mut self, node: usize, f: impl FnOnce(&mut Node) -> R) -> R {
-        f(self.nodes[node].get_mut().expect("node lock"))
+        let out = f(&mut self.nodes[node]);
+        self.wake.wake(node);
+        if let Some(s) = &self.seeder {
+            self.installs.note(node, self.nodes[node].has_installed(s.image_id));
+        }
+        out
     }
 
-    /// One simulation round: deliver → step (parallel) → collect.
+    /// One simulation round: deliver → step (parallel) → collect → feed.
     pub fn step_round(&mut self) {
         let round = self.round;
         // Pulse timing: a whole-round stopwatch anchored *before* the lap
@@ -565,7 +833,8 @@ impl Fleet {
                     seeder.inbox.push(env);
                 }
             } else if let Some(node) = self.nodes.get_mut(dest as usize) {
-                node.get_mut().expect("node lock").inbox.push(env);
+                node.inbox.push(env);
+                self.wake.wake(dest as usize);
             }
         }
         if let Some(seeder) = &mut self.seeder {
@@ -573,17 +842,36 @@ impl Fleet {
         }
         phase_ns[Phase::Deliver as usize] = lap(&mut chain);
 
-        // Phase 2 (parallel): step every node.
-        let stats = self.step_nodes(round);
+        // Phase 2 (parallel): step the busy nodes.
+        let busy = self.wake.take();
+        let mut stepped = vec![Stepped::default(); busy.len()];
+        let mut stats = self.step_nodes(round, &busy, &mut stepped);
         phase_ns[Phase::Step as usize] = lap(&mut chain);
 
-        // Phase 3 (serial): collect outboxes in node-id order so the
-        // radio's RNG sees a schedule-independent draw order.
-        for node in &mut self.nodes {
-            let node = node.get_mut().expect("node lock");
-            for (to, env) in std::mem::take(&mut node.outbox) {
-                self.radio.send(round, to, env);
+        // Phase 3 (serial): collect the stepped nodes' outboxes in node-id
+        // order so the radio's RNG sees a schedule-independent draw order,
+        // and wake every node that still has work — or a watchdog, whose
+        // rolling windows take one sample per round. A step never
+        // uninstalls, so only fresh installs move the install count.
+        for (&i, s) in busy.iter().zip(&stepped) {
+            if s.sends {
+                for (to, env) in std::mem::take(&mut self.nodes[i].outbox) {
+                    self.radio.send(round, to, env);
+                }
             }
+            if s.again {
+                self.wake.wake(i);
+            }
+            if s.installed {
+                self.installs.note(i, true);
+            }
+            if let Some(cache) = &mut self.cycles {
+                cache.update(i, s.cycles);
+            }
+        }
+        if let (Some(stats), Some(cache)) = (&mut stats, &self.cycles) {
+            stats.cycles_total = cache.total;
+            stats.cycles_frontier = cache.frontier;
         }
         phase_ns[Phase::Collect as usize] = lap(&mut chain);
 
@@ -607,11 +895,11 @@ impl Fleet {
     /// Streams every node's counter deltas, fresh postmortem dumps and
     /// fresh watchdog alerts into the tower. `is_round` marks a real
     /// round boundary; a residual drain (host posts after the last round)
-    /// adjusts totals without counting as a node-round sample.
+    /// adjusts totals without counting as a node-round sample. Every node
+    /// is fed, stepped or not: a tower sample counts node-rounds.
     fn feed_tower(&mut self, round: u64, is_round: bool) {
         let Some(tower) = &mut self.tower else { return };
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             let sample = node.tower_sample(round, is_round);
             if is_round || !sample.deltas.is_zero() {
                 tower.ingest(&sample);
@@ -625,145 +913,43 @@ impl Fleet {
         }
     }
 
-    fn step_nodes(&mut self, round: u64) -> Option<StepStats> {
+    /// Steps the `busy` nodes (ascending ids), filling `out` in the same
+    /// order; with pulse attached, also returns the worker stats and the
+    /// ledger (the cycle fields are filled in by the collect phase). Worker
+    /// count follows the busy set, so a round with nothing to do spawns no
+    /// thread.
+    fn step_nodes(&mut self, round: u64, busy: &[usize], out: &mut [Stepped]) -> Option<StepStats> {
         let budget = self.cfg.cycle_budget;
-        let workers = self.threads.min(self.nodes.len());
-        if self.pulse.is_some() {
-            return Some(self.step_nodes_pulsed(round, budget, workers));
-        }
-        if workers <= 1 {
-            for node in &mut self.nodes {
-                node.get_mut().expect("node lock").step(round, budget);
+        let image = self.seeder.as_ref().map(|s| s.image_id);
+        let step = |node: &mut Node| {
+            node.step(round, budget);
+            Stepped {
+                sends: !node.outbox.is_empty(),
+                again: node.watchdog.is_some() || node.pending_work().any(),
+                installed: image.is_some_and(|id| node.has_installed(id)),
+                cycles: node.sys.cycles(),
             }
+        };
+        let workers = self.threads.min(busy.len().div_ceil(BATCH));
+        let mut nodes = pick(&mut self.nodes, busy);
+        if self.pulse.is_none() {
+            step_batches(&mut nodes, out, workers, || (), step);
             return None;
         }
-        let cursor = AtomicUsize::new(0);
-        let nodes = &self.nodes;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
-                    if start >= nodes.len() {
-                        break;
-                    }
-                    let end = (start + BATCH).min(nodes.len());
-                    for node in &nodes[start..end] {
-                        node.lock().expect("node lock").step(round, budget);
-                    }
-                });
-            }
-        });
-        None
-    }
-
-    /// The step phase with pulse probes: identical node visitation (same
-    /// batch cursor, same per-node order within a batch), plus busy
-    /// timing at the coarsest grain that still answers the question —
-    /// serial runs time the whole phase once (busy = span = finish by
-    /// definition when there is no barrier), parallel workers time one
-    /// clock read pair per [`BATCH`] nodes, not per node. That grain is
-    /// what keeps the measured overhead within the ≤3% budget
-    /// `BENCH_pulse.json` tracks. Each worker classifies every node's
-    /// [`Node::pending_work`] *before* stepping it, accumulates a
-    /// partial [`RoundLedger`] (element-wise mergeable, so the total is
-    /// schedule-independent), and reads the node's cycle counter after.
-    fn step_nodes_pulsed(&mut self, round: u64, budget: u64, workers: usize) -> StepStats {
-        // All worker times are measured from this shared phase anchor,
-        // taken after the deliver-phase lap boundary — so every worker's
-        // `finish_ns` is bounded by the step-phase lap by construction.
+        // Taken after the deliver-phase lap boundary, so every worker's
+        // `finish_ns` is bounded by the step-phase lap.
         let anchor = Instant::now();
-        let step_batch = |nodes: &mut dyn Iterator<Item = &Mutex<Node>>,
-                          stat: &mut WorkerStat,
-                          ledger: &mut RoundLedger,
-                          cycles: &mut (u64, u64)| {
-            let t0 = Instant::now();
-            for node in nodes {
-                let mut node = node.lock().expect("node lock");
-                ledger.observe(node.pending_work());
-                node.step(round, budget);
-                let c = node.sys.cycles();
-                cycles.0 += c;
-                cycles.1 = cycles.1.max(c);
-                stat.nodes += 1;
-            }
-            stat.busy_ns += t0.elapsed().as_nanos() as u64;
-        };
-        if workers <= 1 {
-            // One worker, no barrier: busy, span and finish are all the
-            // same interval — the whole step phase — so the serial path
-            // needs no per-batch clock reads (or locks; `get_mut` like
-            // the uninstrumented loop) to stay inside the overhead
-            // budget at small fleet sizes.
-            let mut stat = WorkerStat::default();
-            let mut ledger = RoundLedger::default();
-            let mut cycles = (0u64, 0u64);
-            for node in &mut self.nodes {
-                let node = node.get_mut().expect("node lock");
-                ledger.observe(node.pending_work());
-                node.step(round, budget);
-                let c = node.sys.cycles();
-                cycles.0 += c;
-                cycles.1 = cycles.1.max(c);
-                stat.nodes += 1;
-            }
-            stat.finish_ns = anchor.elapsed().as_nanos() as u64;
-            stat.span_ns = stat.finish_ns;
-            stat.busy_ns = stat.finish_ns;
-            return StepStats {
-                workers: vec![stat],
-                ledger,
-                cycles_total: cycles.0,
-                cycles_frontier: cycles.1,
-            };
-        }
-        let cursor = AtomicUsize::new(0);
-        let nodes = &self.nodes;
-        let parts: Mutex<Vec<(WorkerStat, RoundLedger, u64, u64)>> =
-            Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut stat = WorkerStat::default();
-                    let mut ledger = RoundLedger::default();
-                    let mut cycles = (0u64, 0u64);
-                    let mut first_grab: Option<u64> = None;
-                    let mut last_done = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
-                        if start >= nodes.len() {
-                            break;
-                        }
-                        if first_grab.is_none() {
-                            first_grab = Some(anchor.elapsed().as_nanos() as u64);
-                        }
-                        let end = (start + BATCH).min(nodes.len());
-                        step_batch(
-                            &mut nodes[start..end].iter(),
-                            &mut stat,
-                            &mut ledger,
-                            &mut cycles,
-                        );
-                        last_done = anchor.elapsed().as_nanos() as u64;
-                    }
-                    // Batch busy intervals are disjoint sub-intervals of
-                    // [first_grab, last_done], so busy <= span; the exit
-                    // stamp comes last, so span <= finish.
-                    stat.span_ns = last_done.saturating_sub(first_grab.unwrap_or(last_done));
-                    stat.finish_ns = anchor.elapsed().as_nanos() as u64;
-                    if stat.nodes > 0 {
-                        parts.lock().expect("pulse parts").push((stat, ledger, cycles.0, cycles.1));
-                    }
-                });
-            }
-        });
         let mut stats = StepStats::default();
-        for (stat, ledger, sum, max) in parts.into_inner().expect("pulse parts") {
-            stats.workers.push(stat);
-            stats.ledger.merge(&ledger);
-            stats.cycles_total += sum;
-            stats.cycles_frontier = stats.cycles_frontier.max(max);
+        for probe in step_batches(&mut nodes, out, workers, || PulseProbe::new(anchor), step) {
+            if probe.stat.nodes > 0 {
+                stats.workers.push(probe.stat);
+                stats.ledger.merge(&probe.ledger);
+            }
         }
-        stats
+        // The ledger classifies every node: a skipped node had no pending
+        // work (nothing woke it), so it counts as classified and idle.
+        stats.ledger.stepped += (self.nodes.len() - busy.len()) as u64;
+        Some(stats)
     }
 
     /// Steps `rounds` rounds.
@@ -784,16 +970,7 @@ impl Fleet {
         let deadline = self.round + max_rounds;
         while !self.converged() {
             if self.round >= deadline {
-                let missing = self
-                    .seeder
-                    .as_ref()
-                    .map(|s| {
-                        self.nodes
-                            .iter()
-                            .filter(|n| !n.lock().expect("node lock").has_installed(s.image_id))
-                            .count()
-                    })
-                    .unwrap_or(0);
+                let missing = self.installs.missing;
                 return Err(format!(
                     "dissemination did not converge within {max_rounds} rounds \
                      ({missing}/{} nodes missing the image)",
@@ -814,8 +991,7 @@ impl Fleet {
         let scope = traced.then(|| {
             let mut agg = crate::ScopeAggregate::default();
             let mut per_node_recorded = harbor_scope::CycleHistogram::new();
-            for n in &mut self.nodes {
-                let node = n.get_mut().expect("node lock");
+            for node in &self.nodes {
                 let Some(sink) = node.sys.scope() else { continue };
                 agg.recorded += sink.recorded();
                 agg.dropped += sink.dropped();
@@ -828,11 +1004,7 @@ impl Fleet {
             agg.p99_recorded = per_node_recorded.quantile(9900);
             agg
         });
-        let per_node: Vec<_> = self
-            .nodes
-            .iter_mut()
-            .map(|n| n.get_mut().expect("node lock").telemetry.clone())
-            .collect();
+        let per_node: Vec<_> = self.nodes.iter().map(|n| n.telemetry.clone()).collect();
         let convergence_round = if self.seeder.is_some() && self.converged() {
             per_node.iter().filter_map(|n| n.installed_round).max()
         } else {
@@ -888,11 +1060,8 @@ impl Fleet {
     pub fn dumps(&mut self) -> Vec<Postmortem> {
         let mut dumps: Vec<Postmortem> = self
             .nodes
-            .iter_mut()
-            .flat_map(|n| {
-                let node = n.get_mut().expect("node lock");
-                node.recorder.as_ref().map_or(Vec::new(), |r| r.dumps().to_vec())
-            })
+            .iter()
+            .flat_map(|n| n.recorder.as_ref().map_or(Vec::new(), |r| r.dumps().to_vec()))
             .collect();
         dumps.sort_by_key(|d| (d.node, d.fault.cycles));
         dumps
@@ -903,8 +1072,7 @@ impl Fleet {
     /// [`harbor_blackbox::check_monotone`] or
     /// [`harbor_blackbox::chrome_trace`].
     pub fn causal_logs(&mut self) -> Vec<CausalLog> {
-        let mut logs: Vec<CausalLog> =
-            self.nodes.iter_mut().map(|n| n.get_mut().expect("node lock").causal.clone()).collect();
+        let mut logs: Vec<CausalLog> = self.nodes.iter().map(|n| n.causal.clone()).collect();
         if let Some(seeder) = &self.seeder {
             logs.push(seeder.causal.clone());
         } else if let Some((_, causal, _)) = &self.retired_seeder {
@@ -924,11 +1092,8 @@ impl Fleet {
     /// blackbox.
     pub fn alerts(&mut self) -> Vec<Alert> {
         self.nodes
-            .iter_mut()
-            .flat_map(|n| {
-                let node = n.get_mut().expect("node lock");
-                node.watchdog.as_ref().map_or(Vec::new(), |w| w.alerts().to_vec())
-            })
+            .iter()
+            .flat_map(|n| n.watchdog.as_ref().map_or(Vec::new(), |w| w.alerts().to_vec()))
             .collect()
     }
 }

@@ -15,9 +15,10 @@
 //! * [`node`] — one sensor node: a [`SosSystem`](mini_sos::SosSystem)
 //!   wrapped with an inbox, the dissemination state machine, and per-node
 //!   telemetry;
-//! * [`fleet`] — round-based stepping of hundreds of nodes across
-//!   `std::thread` workers, with dynamic work-stealing over node batches;
-//!   serial and parallel execution produce byte-identical telemetry;
+//! * [`fleet`] — round-based stepping of thousands of nodes across
+//!   `std::thread` workers, with dynamic work-stealing over batches of
+//!   *busy* nodes (idle nodes are skipped, exactly); serial and parallel
+//!   execution produce byte-identical telemetry;
 //! * [`telemetry`] — per-node and aggregate counters exported as JSON;
 //! * [`campaign`] — fleet-scale fault-injection campaigns measuring
 //!   containment and recovery under the three protection builds.
@@ -31,7 +32,7 @@
 //! With [`FleetConfig::pulse`] set, the fleet also profiles *itself*: a
 //! `harbor-pulse` recorder times every pipeline phase (deliver, step,
 //! collect, tower feed), accounts per-worker busy/barrier time, and keeps
-//! an idle-work ledger of nodes stepped with nothing to do —
+//! an idle-work ledger of nodes with nothing to do —
 //! [`Fleet::pulse_report`] serves the snapshot the `harbor-pulse` CLI
 //! renders and gates on. Pulse reads state and the host clock only; a
 //! pulse-enabled run's telemetry is byte-identical to a disabled run's.

@@ -249,8 +249,11 @@ impl Node {
     /// Classifies this node's pending work for the idle-work ledger — a
     /// pure function of node state (inbox, OTA reassembly, kernel queue),
     /// never of the schedule, so serial and parallel runs classify
-    /// identically. The fleet calls this immediately before
-    /// [`Node::step`] when pulse is attached.
+    /// identically. The fleet reads it after every step: a node with
+    /// pending work stays scheduled for the next round, and one without is
+    /// skipped until something wakes it. With pulse attached the fleet
+    /// also classifies each stepped node immediately before
+    /// [`Node::step`].
     pub fn pending_work(&self) -> harbor_pulse::PendingWork {
         harbor_pulse::PendingWork {
             inbox: !self.inbox.is_empty(),

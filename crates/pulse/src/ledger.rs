@@ -1,14 +1,15 @@
-//! The idle-work ledger: who had pending work, who was stepped anyway.
+//! The idle-work ledger: which nodes had pending work each round.
 //!
-//! The fleet's round-lockstep scheduler steps *every* node *every* round.
 //! Dissemination quiesces, so in steady state most nodes have nothing to
 //! do — no packets in the inbox, no OTA reassembly in flight, no kernel
-//! messages queued — and the step is pure overhead. The ledger counts that
-//! overhead exactly: each round, every node is classified *before* it is
-//! stepped, and the per-flag counts are summed. Classification is a pure
-//! function of node state (never of the thread schedule or the host
-//! clock), so serial and parallel runs of one seed produce identical
-//! ledgers — regression-tested in `tests/fleet_pulse.rs`.
+//! messages queued. The fleet's busy-set scheduler skips those nodes; the
+//! ledger still classifies *every* node *every* round, so its counts mean
+//! the same whether a node was stepped or skipped: a stepped node is
+//! classified just before its step, a skipped node counts as idle (nothing
+//! woke it, so it had no pending work). Classification is a pure function
+//! of node state (never of the thread schedule or the host clock), so
+//! serial and parallel runs of one seed produce identical ledgers —
+//! regression-tested in `tests/fleet_pulse.rs`.
 
 /// Why a node counts as busy this round. A node may have several reasons
 /// at once; it is *idle* only when all three are false.
@@ -33,10 +34,13 @@ impl PendingWork {
 
 /// One round's ledger counts. Nodes are counted once in `busy`/`stepped`
 /// and once per raised flag, so `inbox + ota + queue >= busy` and
-/// `busy <= stepped` always.
+/// `busy <= stepped` always. The per-worker `WorkerStat::nodes` counts
+/// the node-steps actually executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundLedger {
-    /// Nodes stepped this round (the lockstep scheduler steps them all).
+    /// Nodes classified this round: every node in the fleet, stepped or
+    /// skipped (the name predates busy-set stepping and is kept so the
+    /// JSON stays byte-stable).
     pub stepped: u64,
     /// Nodes with at least one pending-work flag.
     pub busy: u64,
@@ -70,13 +74,13 @@ impl RoundLedger {
         self.queue += other.queue;
     }
 
-    /// Nodes stepped with no pending work — the wasted steps an
-    /// event-driven scheduler would skip.
+    /// Nodes with no pending work — the steps the busy-set scheduler
+    /// skips.
     pub fn idle(&self) -> u64 {
         self.stepped - self.busy
     }
 
-    /// Idle fraction in per-myriad (10000 = every stepped node was idle).
+    /// Idle fraction in per-myriad (10000 = every classified node was idle).
     pub fn idle_per_myriad(&self) -> u64 {
         (self.idle() * 10_000).checked_div(self.stepped).unwrap_or(0)
     }

@@ -21,7 +21,8 @@ pub struct RoundRecord {
     pub timing: RoundTiming,
     /// Idle-work ledger for the round.
     pub ledger: RoundLedger,
-    /// Per-worker step-phase stats (one entry in serial runs).
+    /// Per-worker step-phase stats (one entry in serial runs, none on a
+    /// round with no busy node).
     pub workers: Vec<WorkerStat>,
     /// Guest cycles executed fleet-wide this round.
     pub cycles_delta: u64,
