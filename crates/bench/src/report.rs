@@ -80,27 +80,17 @@ pub fn seed_from_args(default: u64) -> u64 {
     default
 }
 
-/// FNV-1a over a byte string: the machine-identity hash. Two runs that
-/// executed the same simulated work (same cycle totals, same telemetry)
-/// hash identically, so `BENCH_*.json` files can be diffed across hosts
-/// whose wall-clock numbers legitimately differ.
-pub fn machine_hash(bytes: &[u8]) -> u64 {
+/// FNV-1a over identity words (cycle and instruction totals, little-endian
+/// bytes): the machine-identity hash. Two runs that executed the same
+/// simulated work hash identically, so `BENCH_*.json` files can be diffed
+/// across hosts whose wall-clock numbers legitimately differ.
+pub fn machine_hash(words: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// [`machine_hash`] over a list of identity words (cycle totals,
-/// instruction totals) for benches that do not keep telemetry JSON around.
-pub fn machine_hash_words(words: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    machine_hash(&bytes)
 }
 
 /// One run object of a [`BenchReport`], built field by field in emission
@@ -151,23 +141,20 @@ impl BenchRun {
     }
 }
 
-/// The shared `BENCH_*.json` writer. Every bench binary reports through
-/// this one schema — bench name, seed, min-of-N pass count, and a run
-/// array whose entries carry `nodes`/`rounds`/`machine` — so trend tooling
-/// parses one shape instead of six.
+/// The shared `BENCH_*.json` writer: bench name, min-of-N pass count, and
+/// a run array whose entries carry `nodes`/`rounds`/`machine` plus
+/// whatever the bench measures.
 pub struct BenchReport {
     name: &'static str,
-    seed: u64,
     min_of: usize,
     runs: Vec<String>,
-    extra: Vec<String>,
 }
 
 impl BenchReport {
-    /// Starts a report for bench `name` run with `seed`, each mode timed
-    /// as a minimum over `min_of` interleaved passes.
-    pub fn new(name: &'static str, seed: u64, min_of: usize) -> BenchReport {
-        BenchReport { name, seed, min_of, runs: Vec::new(), extra: Vec::new() }
+    /// Starts a report for bench `name`, each mode timed as a minimum over
+    /// `min_of` interleaved passes.
+    pub fn new(name: &'static str, min_of: usize) -> BenchReport {
+        BenchReport { name, min_of, runs: Vec::new() }
     }
 
     /// Appends a finished run record.
@@ -175,31 +162,18 @@ impl BenchReport {
         self.runs.push(run.render());
     }
 
-    /// Appends a top-level field with a pre-rendered JSON value (used by
-    /// `--combine` to embed sibling reports).
-    pub fn raw(&mut self, key: &str, json: &str) {
-        self.extra.push(format!("\"{key}\":{json}"));
-    }
-
     /// The rendered report.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"bench\":\"{}\",\"seed\":{},\"min_of\":{},\"runs\":[{}]",
+        format!(
+            "{{\"bench\":\"{}\",\"min_of\":{},\"runs\":[{}]}}",
             self.name,
-            self.seed,
             self.min_of,
             self.runs.join(",")
-        );
-        for e in &self.extra {
-            out.push(',');
-            out.push_str(e);
-        }
-        out.push('}');
-        out
+        )
     }
 
     /// Writes `BENCH_<suffix>.json` in the current directory and announces
-    /// it the way every bench binary does.
+    /// it.
     pub fn write(&self, suffix: &str) {
         let path = format!("BENCH_{suffix}.json");
         std::fs::write(&path, self.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -8,7 +8,8 @@
 //! constructed — never reach it, while the rare, diagnostic events (faults,
 //! crossings, kernel lifecycle) all land in the ring. That
 //! pre-construction filter is what keeps recorder overhead under the
-//! acceptance bound (measured in `BENCH_blackbox.json`).
+//! acceptance bound (measured by the `blackbox` rung of
+//! `BENCH_layers.json`).
 //!
 //! Between events, the recorder samples [`ArchSnapshot`]s at its
 //! observation points (each [`FlightRecorder::poll`], normally once per

@@ -371,8 +371,8 @@ impl StepProbe for () {}
 /// Pulse's probe: classifies each stepped node's pending work before the
 /// step and times each batch with one clock-read pair — the coarsest grain
 /// that still answers the question, which keeps the measured overhead
-/// within the ≤3% budget `BENCH_pulse.json` tracks. Every time is
-/// measured from the shared step-phase anchor, so
+/// within the ≤3% budget the `pulse` rung of `BENCH_layers.json` tracks.
+/// Every time is measured from the shared step-phase anchor, so
 /// `busy <= span <= finish <= step lap` holds by construction.
 struct PulseProbe {
     anchor: Instant,

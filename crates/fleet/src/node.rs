@@ -466,27 +466,24 @@ impl Node {
             Ok(image) => {
                 let module = d.module;
                 self.dissem = None;
-                let dom = DomainId::num(image.domain);
                 let loaded = image.to_loaded();
-                // Admission gate: the node's load policy sees the image
-                // *before* flash — a module whose certified stack bound
-                // exceeds the allotment is quarantined, not installed.
+                // Admission gate, before flash: an image that does not fit
+                // its domain's slot (or, under an SFI load policy, whose
+                // certified stack bound exceeds the allotment) is
+                // quarantined, not installed.
                 if self.sys.admit_module(&loaded).is_err() {
                     self.quarantined.push(module);
                     self.telemetry.metrics.inc("fleet.quarantined", 1);
                     return;
                 }
-                if self.sys.modules.iter().all(|m| m.domain != dom) {
-                    // A gated rollout image checkpoints the machine before
-                    // flash is touched: rollback restores this clone, so
-                    // the node lands back on the exact pre-rollout flash
-                    // generation.
-                    if self.gate.contains_key(&module) {
-                        self.checkpoint = Some((module, Box::new(self.sys.clone())));
-                        self.telemetry.metrics.inc("helm.images_admitted", 1);
-                    }
-                    self.sys.install_module(loaded);
+                // A gated rollout image checkpoints the machine before
+                // flash is touched: rollback restores this clone, so the
+                // node lands back on the exact pre-rollout flash generation.
+                if self.gate.contains_key(&module) {
+                    self.checkpoint = Some((module, Box::new(self.sys.clone())));
+                    self.telemetry.metrics.inc("helm.images_admitted", 1);
                 }
+                self.sys.install_module(loaded);
                 self.installed.push(module);
                 self.telemetry.installed_round = Some(round);
             }

@@ -3,11 +3,11 @@
 //!
 //! The guest side of this repository is thoroughly observed — scope traces,
 //! blackbox postmortems, tower rollups — but the *host* simulator that must
-//! scale to 100k+ nodes was a black box: `BENCH_fleet.json` showed parallel
-//! stepping barely beating serial without saying where the wall-clock goes
-//! or how much of it is wasted stepping nodes that had nothing to do. This
-//! crate answers both questions, and its numbers are the acceptance
-//! baseline for the planned event-driven fleet rearchitecture:
+//! scale to 100k+ nodes was a black box: the fleet scaling bench showed
+//! parallel stepping barely beating serial without saying where the
+//! wall-clock goes or how much of it is wasted stepping nodes that had
+//! nothing to do. This crate answers both questions, and its numbers are
+//! the acceptance baseline for the planned event-driven fleet rearchitecture:
 //!
 //! * [`probe`] — the [`Pulse`] recorder: per-round, per-[`Phase`]
 //!   wall-clock timers (deliver, step, collect, tower feed), per-worker

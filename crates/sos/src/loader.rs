@@ -150,6 +150,39 @@ pub enum LoadError {
         /// The policy's allotment.
         allotment: u16,
     },
+    /// A pre-assembled image targets a domain that already holds a module.
+    DomainOccupied {
+        /// Module name.
+        name: &'static str,
+        /// The occupied domain.
+        domain: u8,
+    },
+    /// A pre-assembled image was assembled for another flash slot than its
+    /// domain's.
+    WrongSlot {
+        /// Module name.
+        name: &'static str,
+        /// The image's origin (word address).
+        origin: u32,
+        /// The domain's slot (word address).
+        slot: u32,
+    },
+    /// More exported entries than one jump-table page holds.
+    TooManyEntries {
+        /// Module name.
+        name: &'static str,
+        /// Exported entry count.
+        entries: usize,
+        /// Jump-table page capacity.
+        capacity: usize,
+    },
+    /// An exported entry address lies outside the module's flash slot.
+    EntryOutsideSlot {
+        /// Module name.
+        name: &'static str,
+        /// The offending entry (word address).
+        entry: u32,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -166,6 +199,18 @@ impl fmt::Display for LoadError {
                     "module `{name}`: certified safe-stack demand {certified}B \
                      exceeds the {allotment}B allotment"
                 )
+            }
+            LoadError::DomainOccupied { name, domain } => {
+                write!(f, "module `{name}`: domain {domain} is already occupied")
+            }
+            LoadError::WrongSlot { name, origin, slot } => {
+                write!(f, "module `{name}`: assembled at {origin:#x}, but its slot is {slot:#x}")
+            }
+            LoadError::TooManyEntries { name, entries, capacity } => {
+                write!(f, "module `{name}`: {entries} entries exceed the {capacity}-entry page")
+            }
+            LoadError::EntryOutsideSlot { name, entry } => {
+                write!(f, "module `{name}`: entry {entry:#x} lies outside its slot")
             }
         }
     }

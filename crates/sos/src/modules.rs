@@ -181,8 +181,8 @@ pub fn surge_fixed(dom: u8, tree_dom: u8) -> ModuleSource {
 /// pass (the unroll is capped by the backward-branch range), 16 passes per
 /// message. Every store targets a constant address inside the module's own
 /// segment, so the `harbor-flow` dataflow pass certifies all of them — the
-/// store-dominated workload the `elision_speedup` bench uses to expose the
-/// memory-map-check elision win.
+/// store-dominated workload the `prove` rung of the `layers` bench uses to
+/// expose the memory-map-check elision win.
 pub fn stress_store(dom: u8) -> ModuleSource {
     ModuleSource {
         name: "stress_store",

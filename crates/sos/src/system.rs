@@ -19,6 +19,9 @@ use harbor_sfi::SfiRuntime;
 use harbor_turbo::{TurboEngine, TurboStats};
 use umpu::UmpuEnv;
 
+/// Entries one domain's jump-table page holds ([`SosLayout::jt_page`]).
+const JT_PAGE_ENTRIES: usize = 128;
+
 /// One protection fault the system observed, in the uniform
 /// code/operand vocabulary shared by the UMPU hardware and the SFI
 /// run-time's panic port (see `avr_core::EnvFault`).
@@ -535,13 +538,19 @@ impl SosSystem {
     }
 
     /// Checks a **pre-assembled** module (e.g. one that arrived over a
-    /// transport) against the admission policy without installing it. With
-    /// no policy set, or outside the SFI build, every module is admitted.
+    /// transport) before it touches flash, without installing it. Every
+    /// build checks that the image targets a free domain, was assembled for
+    /// that domain's flash slot, fits the slot, and exports at most one
+    /// jump-table page of entries, each inside the slot; the SFI build with
+    /// a policy set then applies the admission policy.
     ///
     /// # Errors
     ///
-    /// See [`check_policy`].
+    /// [`LoadError::DomainOccupied`], [`LoadError::WrongSlot`],
+    /// [`LoadError::SlotOverflow`], [`LoadError::TooManyEntries`],
+    /// [`LoadError::EntryOutsideSlot`], or see [`check_policy`].
     pub fn admit_module(&self, loaded: &LoadedModule) -> Result<(), LoadError> {
+        self.check_slot(loaded)?;
         match (&self.load_policy, self.protection, self.runtime.as_ref()) {
             (Some(policy), Protection::Sfi, Some(rt)) => check_policy(
                 policy,
@@ -556,6 +565,34 @@ impl SosSystem {
         }
     }
 
+    /// The structural half of [`SosSystem::admit_module`]. An image failing
+    /// it would otherwise make the loader write into another domain's flash
+    /// slot or jump-table page, or trip the jump-table reach assert.
+    fn check_slot(&self, loaded: &LoadedModule) -> Result<(), LoadError> {
+        let name = loaded.name;
+        let domain = loaded.domain.index();
+        if self.modules.iter().any(|m| m.domain == loaded.domain) {
+            return Err(LoadError::DomainOccupied { name, domain });
+        }
+        let slot = self.layout.slot_for(domain);
+        let origin = loaded.object.origin();
+        if origin != slot {
+            return Err(LoadError::WrongSlot { name, origin, slot });
+        }
+        let (words, capacity) = (loaded.object.words().len() as u32, self.layout.slot_words);
+        if words > capacity {
+            return Err(LoadError::SlotOverflow { name, words, capacity });
+        }
+        let entries = loaded.entry_addrs.len();
+        if entries > JT_PAGE_ENTRIES {
+            return Err(LoadError::TooManyEntries { name, entries, capacity: JT_PAGE_ENTRIES });
+        }
+        match loaded.entry_addrs.iter().find(|&&e| !(slot..slot + capacity).contains(&e)) {
+            Some(&entry) => Err(LoadError::EntryOutsideSlot { name, entry }),
+            None => Ok(()),
+        }
+    }
+
     /// Installs a **pre-assembled** module into a booted system — the tail
     /// half of [`SosSystem::load_module`], split out so a module image that
     /// arrived over a transport (e.g. radio dissemination in `harbor-fleet`)
@@ -565,21 +602,14 @@ impl SosSystem {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`SosSystem::boot`], if the domain is already
-    /// occupied, or if the object was assembled for a different slot.
+    /// Panics if called before [`SosSystem::boot`] or if the image fails
+    /// the structural checks of [`SosSystem::admit_module`] (callers holding
+    /// untrusted images run it first).
     pub fn install_module(&mut self, loaded: LoadedModule) {
         assert!(self.booted, "install_module requires a booted system");
-        assert!(
-            !self.modules.iter().any(|m| m.domain == loaded.domain),
-            "domain {} already occupied",
-            loaded.domain
-        );
-        assert_eq!(
-            loaded.object.origin(),
-            self.layout.slot_for(loaded.domain.index()),
-            "module `{}` was assembled for a different slot",
-            loaded.name
-        );
+        if let Err(e) = self.check_slot(&loaded) {
+            panic!("install_module: {e}");
+        }
 
         // Burn the module and its jump-table entries.
         self.write_flash_object(&loaded.object);

@@ -1,24 +1,10 @@
 #!/usr/bin/env bash
-# Run every BENCH_*.json emitter in release mode and fold the results into
-# one combined artefact: pulse_overhead runs last with --combine, which
-# embeds each sibling report under the "benches" key of BENCH_pulse.json.
-# All emitters share the bench::report writer, so every file has the same
-# schema (bench, seed, min_of, runs[{nodes, rounds, ..., machine}]).
+# Run the layered host benchmark in release mode: every rung (engine,
+# observers, schedule) at 64/256/512 nodes, min of 16 interleaved passes,
+# one row per (rung, nodes) in BENCH_layers.json.
 #
-#   scripts/bench_all.sh             # default seeds
-#   scripts/bench_all.sh --seed 7    # forwarded to every emitter
+#   scripts/bench_all.sh             # each rung's default seed
+#   scripts/bench_all.sh --seed 7    # one seed for every rung
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-for bench in fleet_scale scope_overhead blackbox_overhead \
-             turbo_speedup elision_speedup tower_overhead helm_overhead; do
-    echo "== $bench"
-    cargo run -q --release -p harbor-bench --bin "$bench" -- "$@"
-    echo
-done
-
-echo "== pulse_overhead --combine"
-cargo run -q --release -p harbor-bench --bin pulse_overhead -- --combine "$@"
-
-echo
-echo "combined report: BENCH_pulse.json"
+cargo run -q --release -p harbor-bench --bin layers -- "$@"

@@ -30,11 +30,15 @@ echo "== cargo test -q (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg, tower attach
 # reconciles every rolled-up counter against raw telemetry.
 HARBOR_TURBO=1 HARBOR_PROVE=1 cargo test -q -p harbor-repro --test fleet_tower
 
-echo "== turbo_speedup --check"
-# Gate: reference cycles pinned to the golden value (the turbo subsystem,
-# when disabled, must not perturb reference execution), and turbo
-# byte-identical to reference on the same fleet.
-cargo run -q -p harbor-bench --bin turbo_speedup -- --check
+echo "== layers --check"
+# Gate: every rung of the layered bench once on a 32-node fleet with all
+# of its non-timing assertions: reference cycles pinned to the golden value
+# (the turbo subsystem, when disabled, must not perturb reference
+# execution), every layer leaving the machines identical to its rung's
+# base, ring/stream sink accounting, tower sample counts, the helm observer
+# never actuating and both helm campaigns terminating, pulse reconciliation,
+# and serial ≡ parallel ≡ 4-worker telemetry with converged dissemination.
+cargo run -q --release -p harbor-bench --bin layers -- --check
 
 echo "== harbor_prove --check"
 # Gate: store certificates are deterministic, per-module elision rates

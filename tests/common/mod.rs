@@ -1,11 +1,22 @@
-//! Divergence locator shared by the fleet identity suites. Two runs that
-//! must agree byte for byte are compared piece by piece, and a mismatch is
-//! reported as the *first* place they part ways — round, node and field —
-//! instead of a bare "not identical" over two long JSON strings.
+//! Helpers shared by the root test suites: the `HARBOR_SEED`-overridable
+//! [`seed`], and the divergence locator of the fleet identity suites. Two
+//! runs that must agree byte for byte are compared piece by piece, and a
+//! mismatch is reported as the *first* place they part ways — round, node
+//! and field — instead of a bare "not identical" over two long JSON
+//! strings.
 
 #![allow(dead_code)] // each suite uses the part it needs
 
 use std::fmt;
+
+/// A suite's seed: `HARBOR_SEED` when set (`HARBOR_SEED=n cargo test`
+/// replays a failing case), else the suite's `default`.
+pub fn seed(default: u64) -> u64 {
+    match std::env::var("HARBOR_SEED") {
+        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
+        Err(_) => default,
+    }
+}
 
 /// The first place two runs differ.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,6 +3,9 @@
 //! nodes yields bit-identical flash, jump-table and memory-map state to the
 //! same module loaded directly via `SosSystem::load_module`.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
@@ -11,13 +14,8 @@ use mini_sos::{modules, Protection, SosSystem};
 const NODES: usize = 5;
 const TREE_DOM: u8 = 3;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5eed,
-    }
-}
+/// Default test seed; `HARBOR_SEED=n` overrides it for reproduction.
+const SEED: u64 = 0x5eed;
 
 /// A directly-loaded reference system with the same module set and the same
 /// amount of scheduling as a converged fleet node.
@@ -40,7 +38,7 @@ fn disseminated_module_is_bit_identical_to_direct_load() {
         let cfg = FleetConfig {
             nodes: NODES,
             protection,
-            seed: seed(),
+            seed: seed(SEED),
             net: NetConfig { loss: 0.25, ..NetConfig::default() },
             threads: 4, // exercise the real parallel step path
             ..FleetConfig::default()
@@ -98,7 +96,7 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Sfi,
-        seed: seed(),
+        seed: seed(SEED),
         threads: 4,
         load_policy: Some(mini_sos::LoadPolicy::with_allotment(6)),
         ..FleetConfig::default()
@@ -134,7 +132,7 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Sfi,
-        seed: seed(),
+        seed: seed(SEED),
         threads: 4,
         load_policy: Some(mini_sos::LoadPolicy::with_allotment(128)),
         ..FleetConfig::default()
@@ -159,7 +157,7 @@ fn fleet_runs_are_reproducible_from_the_seed_across_schedules() {
         let cfg = FleetConfig {
             nodes: 12,
             protection: Protection::Umpu,
-            seed: seed(),
+            seed: seed(SEED),
             net: NetConfig { loss: 0.3, latency_min: 1, latency_max: 3 },
             threads,
             ..FleetConfig::default()
@@ -182,4 +180,66 @@ fn fleet_runs_are_reproducible_from_the_seed_across_schedules() {
     assert_eq!(serial, run(1), "same seed, same schedule");
     assert_eq!(serial, run(4), "serial and parallel runs must be byte-identical");
     assert_eq!(serial, run(8), "worker count must not leak into results");
+}
+
+#[test]
+fn hostile_wire_images_are_quarantined_before_flash() {
+    // Checksum-valid images no honest base station assembles, each aimed at
+    // the free domain next to a live module: one built for the neighbour's
+    // slot, one exporting more entries than a jump-table page holds, one
+    // three slots long. Installing any of them would trip a host assert or
+    // write into the neighbour's flash slot or jump-table page; every build
+    // must quarantine them before flash instead.
+    for protection in [Protection::None, Protection::Umpu, Protection::Sfi] {
+        let boot = [modules::blink(0), modules::tree_routing(TREE_DOM + 1)];
+        let layout = Fleet::new(&FleetConfig { nodes: 1, ..FleetConfig::default() }, &boot)
+            .expect("fleet builds")
+            .layout();
+        let good = ModuleImage::assemble(&modules::tree_routing(TREE_DOM), &layout, protection)
+            .expect("image assembles");
+        let mut oversized = good.words.clone();
+        oversized.resize(3 * layout.slot_words as usize, 0);
+        let hostile = [
+            ("wrong origin", ModuleImage { origin: layout.slot_for(TREE_DOM + 1), ..good.clone() }),
+            (
+                "129 entries",
+                ModuleImage { entry_addrs: vec![good.entry_addrs[0]; 129], ..good.clone() },
+            ),
+            ("3-slot image", ModuleImage { words: oversized, ..good.clone() }),
+        ];
+        // Every jump-table page and every module slot.
+        let (start, end) = (layout.prot.jt_base as u32, layout.slot_for(7));
+        for (what, image) in hostile {
+            let cfg = FleetConfig {
+                nodes: NODES,
+                protection,
+                seed: seed(SEED),
+                ..FleetConfig::default()
+            };
+            let mut fleet = Fleet::new(&cfg, &boot).expect("fleet builds");
+            let before: Vec<Vec<u16>> = (0..NODES)
+                .map(|v| fleet.with_node(v, |node| node.sys.flash_words(start, end - start)))
+                .collect();
+            let id = fleet.disseminate(&image);
+            fleet.run_rounds(400);
+            for (v, before) in before.iter().enumerate() {
+                fleet.with_node(v, |node| {
+                    assert!(
+                        node.has_quarantined(id),
+                        "{protection:?} {what}: node {v} quarantines"
+                    );
+                    assert!(!node.has_installed(id), "{protection:?} {what}: node {v} installs");
+                    assert_eq!(node.telemetry.quarantined(), 1, "{protection:?} {what}: node {v}");
+                    assert!(
+                        node.sys.modules.iter().all(|m| m.domain != DomainId::num(TREE_DOM)),
+                        "{protection:?} {what}: node {v}: nothing occupies the target domain"
+                    );
+                    assert!(
+                        node.sys.flash_words(start, end - start) == *before,
+                        "{protection:?} {what}: node {v}: jump tables and slots untouched"
+                    );
+                });
+            }
+        }
+    }
 }

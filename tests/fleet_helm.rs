@@ -6,6 +6,9 @@
 //! generation while never touching a non-canary node. Turbo and prove
 //! engines must drive the controller to the same decisions.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, TowerConfig};
 use harbor_helm::{Helm, HelmRun, PlanConfig, RolloutState};
@@ -20,13 +23,8 @@ const BAD_DOM: u8 = 4;
 const WARMUP: u64 = 4;
 const MAX_CAMPAIGN_ROUNDS: u64 = 240;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x70_3e_12,
-    }
-}
+/// Default test seed; `HARBOR_SEED=n` overrides it for reproduction.
+const SEED: u64 = 0x70_3e_12;
 
 fn build(seed: u64, loss: f64, threads: usize, shards: u32, turbo: bool, prove: bool) -> Fleet {
     let cfg = FleetConfig {
@@ -142,17 +140,17 @@ fn decision_logs(
 /// how many shards aggregated the rollup it observed.
 #[test]
 fn decision_logs_are_schedule_and_shard_independent() {
-    let reference = decision_logs(seed(), 0.1, 1, 4, false, false);
+    let reference = decision_logs(seed(SEED), 0.1, 1, 4, false, false);
     assert!(reference.contains("\"decision\":\"roll-back\""), "bad campaign rolled back");
     assert_eq!(
         reference,
-        decision_logs(seed(), 0.1, 4, 4, false, false),
+        decision_logs(seed(SEED), 0.1, 4, 4, false, false),
         "parallel stepping diverged"
     );
     for shards in [1u32, 3, 7] {
         assert_eq!(
             reference,
-            decision_logs(seed(), 0.1, 4, shards, false, false),
+            decision_logs(seed(SEED), 0.1, 4, shards, false, false),
             "{shards} shards diverged"
         );
     }
@@ -163,9 +161,9 @@ fn decision_logs_are_schedule_and_shard_independent() {
 /// and writes the same decision log.
 #[test]
 fn turbo_and_prove_reach_identical_decisions() {
-    let reference = decision_logs(seed(), 0.1, 4, 4, false, false);
-    assert_eq!(reference, decision_logs(seed(), 0.1, 4, 4, true, false), "turbo diverged");
-    assert_eq!(reference, decision_logs(seed(), 0.1, 4, 4, false, true), "prove diverged");
+    let reference = decision_logs(seed(SEED), 0.1, 4, 4, false, false);
+    assert_eq!(reference, decision_logs(seed(SEED), 0.1, 4, 4, true, false), "turbo diverged");
+    assert_eq!(reference, decision_logs(seed(SEED), 0.1, 4, 4, false, true), "prove diverged");
 }
 
 /// A condemned image leaves no trace: every canary node is back on its
@@ -174,7 +172,7 @@ fn turbo_and_prove_reach_identical_decisions() {
 /// rollout gate kept the blast radius to the canary cohort.
 #[test]
 fn rollback_restores_pre_rollout_flash_state() {
-    let mut c = campaigns(seed(), 0.1, 4, 4, false, false);
+    let mut c = campaigns(seed(SEED), 0.1, 4, 4, false, false);
     assert_eq!(c.good_state, RolloutState::Done, "good campaign promoted");
     assert_eq!(c.bad_state, RolloutState::RolledBack, "bad campaign condemned");
     assert_eq!(c.run.fleet().known_good(), Some(c.good_id), "known-good preserved");
@@ -230,7 +228,7 @@ proptest! {
         threads in 2usize..6,
         shards in 2u32..9,
     ) {
-        let s = seed() ^ salt;
+        let s = seed(SEED) ^ salt;
         let loss = f64::from(loss_pct) / 100.0;
         let reference = decision_logs(s, loss, 1, 1, false, false);
         prop_assert_eq!(&reference, &decision_logs(s, loss, threads, shards, false, false));

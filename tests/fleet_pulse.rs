@@ -4,6 +4,9 @@
 //! dissemination run, and the idle-work ledger exactly matches a
 //! host-side census of pending work taken independently of the recorder.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
@@ -12,12 +15,8 @@ use mini_sos::{modules, Protection};
 const NODES: usize = 24;
 const ROUNDS: u64 = 20;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x9a15e,
-    }
-}
+/// Default test seed; `HARBOR_SEED=n` overrides it for reproduction.
+const SEED: u64 = 0x9a15e;
 
 /// Blink everywhere with a mid-run Tree Routing dissemination: radio
 /// traffic, OTA reassembly and kernel timers all land in the ledger.
@@ -25,7 +24,7 @@ fn run(pulse: bool, threads: usize) -> Fleet {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         pulse,
@@ -81,7 +80,7 @@ fn ledger_matches_independent_census() {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.0, ..NetConfig::default() },
         threads: 1,
         pulse: true,

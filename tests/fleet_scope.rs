@@ -3,6 +3,9 @@
 //! telemetry JSON exactly when sinks are attached, and a serial and a
 //! parallel run of the same seed must still agree byte-for-byte.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, NetConfig};
 use harbor_scope::{EventKind, SinkSpec};
@@ -12,18 +15,14 @@ use mini_sos::{modules, Protection};
 const NODES: usize = 8;
 const ROUNDS: u64 = 24;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5c09e,
-    }
-}
+/// Default test seed; `HARBOR_SEED=n` overrides it for reproduction.
+const SEED: u64 = 0x5c09e;
 
 fn run(scope: Option<SinkSpec>, threads: usize) -> harbor_fleet::FleetTelemetry {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         scope,

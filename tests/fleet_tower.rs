@@ -5,6 +5,9 @@
 //! per-node telemetry, including under the turbo engine and certified
 //! store elision.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{
     BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, NodeTelemetry, TowerConfig,
@@ -17,13 +20,8 @@ const NODES: usize = 12;
 const ROUNDS: u64 = 24;
 const COHORTS: u32 = 4;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x70_3e_12,
-    }
-}
+/// Default test seed; `HARBOR_SEED=n` overrides it for reproduction.
+const SEED: u64 = 0x70_3e_12;
 
 /// `HARBOR_PROVE=1` enables elision at build time even when the config
 /// leaves `prove` off, so the elision-count expectations must follow it.
@@ -77,12 +75,12 @@ fn rollup_json(seed: u64, loss: f64, threads: usize, shards: u32) -> String {
 /// many worker threads stepped the fleet or how many shards aggregated it.
 #[test]
 fn rollup_is_schedule_and_shard_independent() {
-    let reference = rollup_json(seed(), 0.1, 1, 4);
+    let reference = rollup_json(seed(SEED), 0.1, 1, 4);
     assert!(reference.contains("\"schema\":\"harbor-tower-rollup-v1\""));
-    assert_eq!(reference, rollup_json(seed(), 0.1, 4, 4), "parallel stepping diverged");
-    assert_eq!(reference, rollup_json(seed(), 0.1, 8, 4), "worker count leaked");
+    assert_eq!(reference, rollup_json(seed(SEED), 0.1, 4, 4), "parallel stepping diverged");
+    assert_eq!(reference, rollup_json(seed(SEED), 0.1, 8, 4), "worker count leaked");
     for shards in [1u32, 3, 7] {
-        assert_eq!(reference, rollup_json(seed(), 0.1, 4, shards), "{shards} shards diverged");
+        assert_eq!(reference, rollup_json(seed(SEED), 0.1, 4, shards), "{shards} shards diverged");
     }
 }
 
@@ -94,7 +92,7 @@ fn rollup_is_schedule_and_shard_independent() {
 #[test]
 fn rollup_reconciles_exactly_under_turbo_and_prove() {
     for (turbo, prove) in [(false, false), (true, false), (false, true), (true, true)] {
-        let mut fleet = run(seed(), 0.1, 4, 4, turbo, prove);
+        let mut fleet = run(seed(SEED), 0.1, 4, 4, turbo, prove);
         let rollup = fleet.tower_rollup().expect("tower attached");
         let telemetry = fleet.telemetry();
         let totals = rollup.totals();
@@ -134,10 +132,10 @@ fn rollup_reconciles_exactly_under_turbo_and_prove() {
 /// the prove rollup may differ from the reference only in `stores_elided`.
 #[test]
 fn prove_rollup_differs_only_in_elision_counter() {
-    let reference = run(seed(), 0.1, 1, 4, false, false).tower_rollup().unwrap();
-    let turbo = run(seed(), 0.1, 4, 4, true, false).tower_rollup().unwrap();
+    let reference = run(seed(SEED), 0.1, 1, 4, false, false).tower_rollup().unwrap();
+    let turbo = run(seed(SEED), 0.1, 4, 4, true, false).tower_rollup().unwrap();
     assert_eq!(reference.to_json(), turbo.to_json(), "turbo rollup diverged");
-    let prove = run(seed(), 0.1, 4, 4, false, true).tower_rollup().unwrap();
+    let prove = run(seed(SEED), 0.1, 4, 4, false, true).tower_rollup().unwrap();
     let (r, p) = (reference.totals(), prove.totals());
     for (name, (rv, pv)) in
         harbor_tower::CounterSet::FIELDS.iter().zip(r.values().into_iter().zip(p.values()))
@@ -167,7 +165,7 @@ proptest! {
         threads in 2usize..6,
         shards in 2u32..9,
     ) {
-        let s = seed() ^ salt;
+        let s = seed(SEED) ^ salt;
         let loss = f64::from(loss_pct) / 100.0;
         let reference = rollup_json(s, loss, 1, 1);
         prop_assert_eq!(&reference, &rollup_json(s, loss, threads, shards));
